@@ -9,9 +9,9 @@
 // workload identity and cached results are byte-identical to simulated
 // ones, the output is byte-identical to what a single process would
 // produce — `vexsmtctl -json out` files diff clean no matter how many
-// machines ran the sweep or how warm their caches were. Interrupting a
-// run (SIGINT) propagates a DELETE to every in-flight cell within one
-// timeslice-bounded poll.
+// machines ran the sweep or how warm their caches were. Each remote cell
+// is one one-shot request, so interrupting a run (SIGINT) hangs up every
+// in-flight cell and the daemons cancel the plans tied to them.
 //
 // Usage:
 //
@@ -305,7 +305,7 @@ func run(args []string) error {
 		progressDone()
 		if err != nil {
 			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-				return fmt.Errorf("cancelled; DELETE propagated to all in-flight cells")
+				return fmt.Errorf("cancelled; every in-flight cell's request was hung up")
 			}
 			return err
 		}

@@ -1,7 +1,9 @@
 // Command vexsmtd serves the split-issue simulator over HTTP/JSON, built
 // entirely on the public pkg/vexsmt API (see pkg/vexsmt/server for the
 // implementation). Plans are submitted, observed (snapshot or NDJSON
-// stream) and cancelled through a small /v1 surface:
+// stream) and cancelled through a small /v1 surface, or submitted and
+// streamed in one request (?stream=1: an acknowledgement line, the cells,
+// a status line; the plan is cancelled when the client disconnects):
 //
 //	vexsmtd -addr :8080 -scale 1000
 //
@@ -9,6 +11,7 @@
 //	curl -s 'localhost:8080/v1/results?id=plan-1'
 //	curl -sN 'localhost:8080/v1/results?id=plan-1&stream=1'
 //	curl -s -X DELETE 'localhost:8080/v1/plans?id=plan-1'
+//	curl -sN 'localhost:8080/v1/plans?stream=1' -d '{"figures":["14"]}'
 //	curl -s localhost:8080/healthz
 //
 // Results follow the versioned JSON schema of pkg/vexsmt (SchemaVersion);

@@ -210,9 +210,10 @@ func (s stubRT) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestChaosScheduleReproducible drives the transport with the request
-// mix of a sweep (submits, result streams, heartbeats, peer fills)
-// twice under one seed and once under another: same seed reproduces
-// the identical fault schedule, a different seed does not.
+// mix of a sweep (one-shot submit-and-stream plans, health probes,
+// heartbeats, peer fills) twice under one seed and once under another:
+// same seed reproduces the identical fault schedule, a different seed
+// does not.
 func TestChaosScheduleReproducible(t *testing.T) {
 	run := func(seed uint64) []string {
 		p := quickChaos()
@@ -236,8 +237,8 @@ func TestChaosScheduleReproducible(t *testing.T) {
 			resp.Body.Close()
 		}
 		for i := 0; i < 25; i++ {
-			do("POST", "http://daemon-a/v1/plans", fmt.Sprintf(`{"cells":["c%d"]}`, i))
-			do("GET", "http://daemon-a/v1/results?stream=1&id=p1", "")
+			do("POST", "http://daemon-a/v1/plans?stream=1", fmt.Sprintf(`{"cells":["c%d"]}`, i))
+			do("GET", "http://daemon-a/healthz", "")
 			do("POST", "http://registry/v1/fleet/register", `{"id":"daemon-a"}`)
 			do("GET", fmt.Sprintf("http://daemon-b/v1/cache/key%d", i), "")
 		}

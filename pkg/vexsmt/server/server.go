@@ -28,6 +28,10 @@ import (
 // pkg/vexsmt — the server never reaches into internal packages.
 //
 //	POST   /v1/plans            submit a plan; returns {"id": ...}
+//	POST   /v1/plans?stream=1   one-shot: submit and stream in one request;
+//	                            NDJSON acknowledgement {"id","cells","meta"},
+//	                            then the cells and status line as below; the
+//	                            plan is cancelled when the client disconnects
 //	GET    /v1/plans            list submitted plans
 //	GET    /v1/results?id=ID    snapshot: meta, status, progress, cells
 //	GET    /v1/results?id=ID&stream=1
@@ -472,13 +476,49 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// submitPlan validates the request, resolves the plan eagerly (so bad
-// plans fail with 400, not asynchronously), and starts streaming.
+// submitPlan admits a plan and answers either asynchronously (202 with
+// the acknowledgement; the client follows /v1/results and DELETEs) or,
+// with ?stream=1, as a one-shot whose 200 body is the acknowledgement
+// line followed by the results stream.
 func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.admitPlan(w, r)
+	if !ok {
+		return
+	}
+	if r.URL.Query().Get("stream") != "" {
+		// The plan lives exactly as long as the request: however the stream
+		// ends (terminal status, client hang-up, CancelJobs) the plan is
+		// cancelled, drained and evicted, so no DELETE is needed.
+		defer s.evict(j)
+		streamJob(r.Context(), w, j, j.ack())
+		return
+	}
+	// The id also travels as a header so a client whose body read fails
+	// (connection trouble mid-response) can still DELETE the plan instead
+	// of orphaning a running job.
+	w.Header().Set("X-Vexsmt-Plan-Id", j.id)
+	writeJSON(w, http.StatusAccepted, j.ack())
+}
+
+// planAck acknowledges an admitted plan: the 202 body of an asynchronous
+// submission and the first line of a one-shot stream.
+type planAck struct {
+	Cells int            `json:"cells"`
+	ID    string         `json:"id"`
+	Meta  vexsmt.RunMeta `json:"meta"`
+}
+
+func (j *job) ack() planAck { return planAck{Cells: j.total, ID: j.id, Meta: j.meta} }
+
+// admitPlan validates the request, resolves the plan eagerly (so bad
+// plans fail with 400, not asynchronously), charges it against admission
+// capacity and starts it. On refusal it has written the error response
+// and returns false.
+func (s *Server) admitPlan(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	var req planRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad plan: %v", err)
-		return
+		return nil, false
 	}
 	// Present overrides — including explicit zeros — go through the option
 	// validators, so an invalid value (zero or negative scale, zero
@@ -507,24 +547,24 @@ func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
 		// The plan simulates everything afresh and stores nothing.
 	default:
 		httpError(w, http.StatusBadRequest, "bad cache %q: want on or off", req.Cache)
-		return
+		return nil, false
 	}
 	// Load the corpus (once per server) before resolving, so a plan naming
 	// trace workloads resolves them against the shared store. A corpus that
 	// fails to load is this daemon's fault, not the plan's: 500, not 400.
 	if _, err := s.workloads(); err != nil {
 		httpError(w, http.StatusInternalServerError, "workload corpus %s: %v", s.workloadDir, err)
-		return
+		return nil, false
 	}
 	svc, err := vexsmt.New(opts...)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
 	cells, err := svc.PlanCells(req.Plan)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
 	total := len(cells)
 
@@ -533,7 +573,7 @@ func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		cancel()
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, false
 	}
 
 	// Admission is weighted by worker demand, not plan count: a one-cell
@@ -565,7 +605,7 @@ func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(resilience.RetryAfterHint))
 		httpError(w, http.StatusServiceUnavailable, "at capacity (%d/%d simulation workers committed); retry later",
 			used, cap)
-		return
+		return nil, false
 	}
 	s.next++
 	j := &job{
@@ -590,16 +630,7 @@ func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
 	// the fleet whether this daemon worked or recalled.
 	j.finished = func() { s.simulations.Add(svc.SimulationsRun()) }
 	go j.consume(ctx, ch)
-
-	// The id also travels as a header so a client whose body read fails
-	// (connection trouble mid-response) can still DELETE the plan instead
-	// of orphaning a running job.
-	w.Header().Set("X-Vexsmt-Plan-Id", j.id)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":    j.id,
-		"cells": total,
-		"meta":  j.meta,
-	})
+	return j, true
 }
 
 // consume drains the stream into the job, recording the terminal state.
@@ -682,15 +713,21 @@ func (s *Server) cancelPlan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown plan")
 		return
 	}
-	j.cancel()
-	<-j.done
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
+	s.evict(j)
 	status, completed, _ := j.progress()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id": j.id, "status": status, "completed": completed,
 	})
+}
+
+// evict cancels j (a no-op once it is terminal), waits for its stream to
+// drain, and drops it from the registry.
+func (s *Server) evict(j *job) {
+	j.cancel()
+	<-j.done
+	s.mu.Lock()
+	delete(s.jobs, j.id)
+	s.mu.Unlock()
 }
 
 // maxRetainedJobs bounds server memory: beyond this many jobs, the oldest
@@ -846,7 +883,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("stream") != "" {
-		s.streamResults(w, r, j)
+		streamJob(r.Context(), w, j, nil)
 		return
 	}
 	status, failed, total, cells := j.snapshot(0)
@@ -872,20 +909,30 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamResults writes NDJSON: every completed cell (including those that
-// finished before the watcher connected), live cells as they complete, and
-// one terminal status object. Polling the job avoids subscription
-// plumbing; 100ms granularity is invisible next to cell runtimes.
-func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, j *job) {
+// streamJob is the one NDJSON writer of the results protocol, shared by
+// GET /v1/results?stream=1 and the one-shot POST /v1/plans?stream=1: the
+// lead line when non-nil (the one-shot acknowledgement), every completed
+// cell (including those that finished before the watcher connected), live
+// cells as they complete, and one terminal status object. It returns once
+// that status line is written or ctx ends. Polling the job avoids
+// subscription plumbing; 100ms granularity is invisible next to cell
+// runtimes, and the job's done channel wakes the final pass at once.
+func streamJob(ctx context.Context, w http.ResponseWriter, j *job, lead any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	if lead != nil {
+		if err := enc.Encode(lead); err != nil {
+			return
+		}
+	}
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
-		// Push the status line and headers now: cells can take minutes, and
-		// a watcher must be able to tell "running" from "dead" immediately.
+		// Push the status line, headers and lead line now: cells can take
+		// minutes, and a watcher must be able to tell "running" from "dead"
+		// immediately.
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
 
 	offset := 0
 	tick := time.NewTicker(100 * time.Millisecond)
@@ -898,18 +945,19 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, j *job) {
 			}
 		}
 		offset += len(cells)
-		if flusher != nil && len(cells) > 0 {
-			flusher.Flush()
-		}
 		if status != "running" {
+			// The handler's return flushes these cells with the status line.
 			_ = enc.Encode(map[string]any{
 				"status": status, "error": failed,
 				"completed": offset, "cells": total,
 			})
 			return
 		}
+		if flusher != nil && len(cells) > 0 {
+			flusher.Flush()
+		}
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			return
 		case <-j.done:
 			// Loop once more to drain the tail and emit the status line.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -152,5 +153,47 @@ func TestGracefulShutdownDrainsStreamsAndPrefetch(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestCancelJobsEndsOneShotStream: CancelJobs during a one-shot stream
+// ends it with a terminal "cancelled" status line, not a dropped
+// connection, and the plan is evicted with its request.
+func TestCancelJobsEndsOneShotStream(t *testing.T) {
+	srv := New(50, 1, 2) // slow cells: the plan is still running at the cancel
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp := postOneShot(t, context.Background(), ts, `{"figures":["14"]}`)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("one-shot submit: status %d, want 200", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	oneShotAck(t, sc)
+
+	srv.CancelJobs()
+	var last map[string]any
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if _, ok := last["status"]; ok {
+			break
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream ended with a transport error, not a status line: %v", err)
+	}
+	if status, _ := last["status"].(string); status != "cancelled" {
+		t.Fatalf("terminal line %v, want status cancelled", last)
+	}
+	io.Copy(io.Discard, resp.Body)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(listedPlans(t, ts)) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("cancelled one-shot plan still retained after its request ended")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -17,10 +17,11 @@ import (
 )
 
 // HTTP is the remote backend: it runs jobs on a vexsmtd daemon over its
-// /v1 control plane — POST the job's cells as a plan, follow the NDJSON
-// results stream, and DELETE the plan on the way out (cancelling it if
-// still running, evicting it if terminal). Context cancellation therefore
-// reaches the remote simulation within one timeslice-bounded poll.
+// /v1 control plane, one request per job — a one-shot POST of the job's
+// cells whose response streams the acknowledgement, the cells and the
+// terminal status as NDJSON. The daemon cancels and evicts the plan when
+// the request ends, so context cancellation reaches the remote simulation
+// as a hang-up, with no separate DELETE.
 type HTTP struct {
 	base          string
 	client        *http.Client
@@ -38,7 +39,7 @@ type HTTPOption func(*HTTP)
 
 // WithClient substitutes the http.Client used for every request (for
 // custom transports or timeouts). Clients must not set an overall request
-// timeout shorter than a job's runtime: the results stream stays open
+// timeout shorter than a job's runtime: the one-shot response stays open
 // for the whole simulation.
 func WithClient(c *http.Client) HTTPOption {
 	return func(h *HTTP) { h.client = c }
@@ -118,10 +119,12 @@ func (h *HTTP) Health(ctx context.Context) (Health, error) {
 	}, nil
 }
 
-// Run implements Backend: submit the job's cells as a plan pinned to the
-// job's seed and scale, stream its results, and always DELETE the plan on
-// return — which cancels the remote simulation when Run is abandoned
-// mid-stream and frees the daemon's memory when it completed.
+// Run implements Backend with one request: a one-shot submission
+// (POST /v1/plans?stream=1) of the job's cells pinned to the job's seed
+// and scale, whose response is the plan's acknowledgement followed by its
+// results stream. The daemon ties the plan to the request, so returning
+// early — a meta mismatch, a torn stream, ctx cancellation — hangs up and
+// thereby cancels and evicts the remote plan.
 func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	submit := struct {
 		Cells []vexsmt.CellSpec `json:"cells"`
@@ -136,7 +139,7 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/plans", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/plans?stream=1", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -145,53 +148,43 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: %s: submit: %w", h.base, err)
 	}
-	if resp.StatusCode != http.StatusAccepted {
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusAccepted:
+		// A daemon without one-shot submission ignored stream=1 and queued
+		// the plan asynchronously; its retention policy ages the orphan out
+		// once it finishes. Retryable: another backend may be current.
+		return nil, fmt.Errorf("shard: %s: submit: daemon answered 202 Accepted, not a one-shot results stream; it predates POST /v1/plans?stream=1 and needs upgrading", h.base)
+	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
 		return nil, fmt.Errorf("shard: %s: submit: status %d: %s",
 			h.base, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	var sub struct {
-		ID    string         `json:"id"`
-		Cells int            `json:"cells"`
-		Meta  vexsmt.RunMeta `json:"meta"`
+
+	sc := newLineScanner(resp.Body)
+	var ack struct {
+		ID   string         `json:"id"`
+		Meta vexsmt.RunMeta `json:"meta"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil {
-		// The plan was accepted and is running; cancel it via the header
-		// copy of the id rather than orphaning it on the daemon.
-		h.deletePlan(resp.Header.Get("X-Vexsmt-Plan-Id"))
+	if err := decodeAck(sc, &ack); err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
 		return nil, fmt.Errorf("shard: %s: submit response: %w", h.base, err)
 	}
 	// Guard against a daemon that ignored the overrides or disagrees about
 	// the grid: running a job at a foreign seed, scale or technique set
 	// would only be caught downstream after wasted simulation.
-	if sub.Meta.SchemaVersion != vexsmt.SchemaVersion ||
-		sub.Meta.Seed != job.Seed || sub.Meta.Scale != job.Scale ||
-		(job.Techniques != "" && sub.Meta.Techniques != job.Techniques) {
-		h.deletePlan(sub.ID)
-		return nil, fmt.Errorf("shard: %s: daemon accepted plan with meta %+v; job wants schema v%d seed %d scale 1/%d techniques %q",
-			h.base, sub.Meta, vexsmt.SchemaVersion, job.Seed, job.Scale, job.Techniques)
-	}
-	defer h.deletePlan(sub.ID)
-
-	sreq, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		h.base+"/v1/results?stream=1&id="+url.QueryEscape(sub.ID), nil)
-	if err != nil {
-		return nil, err
-	}
-	sresp, err := h.client.Do(sreq)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %s: stream: %w", h.base, err)
-	}
-	defer sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard: %s: stream: status %d", h.base, sresp.StatusCode)
+	if ack.Meta.SchemaVersion != vexsmt.SchemaVersion ||
+		ack.Meta.Seed != job.Seed || ack.Meta.Scale != job.Scale ||
+		(job.Techniques != "" && ack.Meta.Techniques != job.Techniques) {
+		return nil, fmt.Errorf("shard: %s: daemon accepted plan %s with meta %+v; job wants schema v%d seed %d scale 1/%d techniques %q",
+			h.base, ack.ID, ack.Meta, vexsmt.SchemaVersion, job.Seed, job.Scale, job.Techniques)
 	}
 
-	rs := &vexsmt.ResultSet{Meta: sub.Meta}
-	status, jobErr, err := DecodeResultStream(sresp.Body, func(cell vexsmt.CellResult) {
+	rs := &vexsmt.ResultSet{Meta: ack.Meta}
+	status, jobErr, err := decodeResults(sc, func(cell vexsmt.CellResult) {
 		if cell.Err != "" {
 			return // the terminal status line will carry the failure
 		}
@@ -201,7 +194,7 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 		}
 	})
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr // deferred DELETE cancels the remote plan
+		return nil, cerr // the hang-up cancels the remote plan
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shard: %s: %w", h.base, err)
@@ -219,24 +212,4 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	}
 	rs.Sort()
 	return rs, nil
-}
-
-// deletePlan cancels/evicts a plan with a fresh context, so cleanup still
-// reaches the daemon after the run context was cancelled — that is exactly
-// the path that propagates a coordinator's cancellation as a DELETE.
-func (h *HTTP) deletePlan(id string) {
-	if id == "" {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		h.base+"/v1/plans?id="+url.QueryEscape(id), nil)
-	if err != nil {
-		return
-	}
-	if resp, err := h.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
 }

@@ -143,3 +143,27 @@ func TestDecodeResultStreamNoTerminal(t *testing.T) {
 		t.Fatalf("status %q errMsg %q err %v", status, errMsg, err)
 	}
 }
+
+// TestDecodeResultStreamLongLines: the scanner buffer grows on demand, so
+// a line longer than 64 KiB still decodes, while the 1 MiB line cap still
+// rejects a runaway line.
+func TestDecodeResultStreamLongLines(t *testing.T) {
+	long := strings.Repeat("x", 70<<10)
+	var got []vexsmt.CellResult
+	status, _, err := DecodeResultStream(strings.NewReader(
+		`{"mix":"`+long+`","technique":"SMT","threads":2}`+"\n"+`{"status":"done"}`+"\n"),
+		func(c vexsmt.CellResult) { got = append(got, c) })
+	if err != nil || status != "done" {
+		t.Fatalf("70 KiB line: status %q err %v", status, err)
+	}
+	if len(got) != 1 || got[0].Mix != long {
+		t.Fatalf("70 KiB line: %d cells, want the one long cell", len(got))
+	}
+
+	huge := strings.Repeat("x", 1<<20)
+	status, _, err = DecodeResultStream(strings.NewReader(
+		`{"mix":"`+huge+`","technique":"SMT","threads":2}`+"\n"+`{"status":"done"}`+"\n"), nil)
+	if err == nil || status != "" {
+		t.Fatalf("line over 1 MiB: status %q err %v, want an error", status, err)
+	}
+}

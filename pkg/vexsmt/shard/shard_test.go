@@ -285,10 +285,12 @@ func runningPlans(t *testing.T, baseURL string) int {
 	return out.Running
 }
 
-// TestCoordinatorCancelPropagatesDelete: cancelling a coordinated run must
-// reach the daemons as DELETEs — their running-plan counts drain to zero
-// promptly instead of simulating to completion.
-func TestCoordinatorCancelPropagatesDelete(t *testing.T) {
+// TestCoordinatorCancellationReachesDaemons: cancelling a coordinated run
+// must reach the daemons — each in-flight one-shot submission hangs up,
+// and the daemon cancels and evicts the plan tied to it — so their
+// running-plan counts drain to zero promptly instead of simulating to
+// completion.
+func TestCoordinatorCancellationReachesDaemons(t *testing.T) {
 	const slowScale = 50 // 4M instrs per cell: the grid cannot finish before the cancel lands
 	a := httptest.NewServer(server.New(slowScale, 1, 2).Handler())
 	defer a.Close()
