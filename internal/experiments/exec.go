@@ -34,6 +34,18 @@ import (
 // as its single backend. An optional ResultCache short-circuits
 // simulation entirely: a cell found in the cache is decoded instead of
 // simulated, and a simulated cell is stored for the next run.
+//
+// A memoized cell costs only its counters: the memo holds a copy of each
+// finished stats.Run, never a pointer into the simulator that produced
+// it, so a simulator is garbage as soon as its cell finishes and a
+// sweep's memory is bounded by its workers rather than its cells. The
+// Matrix also owns the code-layout table its synthetic cells draw from:
+// every technique and predictor of one (mix, threads) pair runs the same
+// job streams, so each distinct stream's layout is built once and shared
+// read-only by all of them. The table grows with the distinct
+// (mix, threads) pairs simulated, is allocated on the first simulated
+// cell (a plan that only hits the ResultCache allocates none), and is
+// freed with the Matrix.
 type Matrix struct {
 	Scale int64 // divisor of paper scale (1 = paper scale)
 	Seed  uint64
@@ -44,7 +56,8 @@ type Matrix struct {
 	cacheKey func(Cell) string
 	wl       *wstore.Store // trace workloads; defaults to the process-global store
 
-	sims atomic.Int64 // simulator runs actually performed (cache hits excluded)
+	sims    atomic.Int64      // simulator runs actually performed (cache hits excluded)
+	layouts synth.LayoutTable // code layouts shared by synthetic cells
 
 	mu    sync.Mutex
 	cells map[Cell]*cellCall
@@ -244,9 +257,7 @@ func (m *Matrix) fetchOrSimulate(ctx context.Context, c Cell) (*stats.Run, bool,
 // the immutable Scale/Seed and the simulation counter, so any number of
 // cells may simulate at once.
 func (m *Matrix) simulate(ctx context.Context, c Cell) (*stats.Run, error) {
-	cfg := sim.DefaultConfig(c.Tech, c.Threads).WithScale(m.Scale)
-	cfg.Seed = m.CellSeed(c)
-	cfg.Predictor = c.Pred
+	cfg := m.cellConfig(c)
 	var s *sim.Simulator
 	var err error
 	if c.WL != "" {
@@ -257,7 +268,7 @@ func (m *Matrix) simulate(ctx context.Context, c Cell) (*stats.Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err = sim.NewWorkload(cfg, profs)
+		s, err = sim.NewWorkloadShared(cfg, profs, &m.layouts)
 	}
 	if err != nil {
 		return nil, err
@@ -269,7 +280,17 @@ func (m *Matrix) simulate(ctx context.Context, c Cell) (*stats.Run, error) {
 	// Counted on completion only, so a cancelled attempt that re-simulates
 	// later doesn't double-count and Simulations() means what it says.
 	m.sims.Add(1)
-	return r, nil
+	// r points into the simulator; the copy lets the simulator go.
+	out := *r
+	return &out, nil
+}
+
+// cellConfig is the machine and experiment configuration one cell runs.
+func (m *Matrix) cellConfig(c Cell) sim.Config {
+	cfg := sim.DefaultConfig(c.Tech, c.Threads).WithScale(m.Scale)
+	cfg.Seed = m.CellSeed(c)
+	cfg.Predictor = c.Pred
+	return cfg
 }
 
 // newTraceSim builds a simulator whose every hardware context replays the

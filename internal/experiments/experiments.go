@@ -209,9 +209,11 @@ type ScalePoint struct {
 // Points run concurrently; all share the caller's seed so every point sees
 // identical workload streams and the curve isolates the thread-count
 // effect (each point's simulator owns its random stream, so sharing the
-// seed is parallel-safe).
+// seed is parallel-safe). Identical streams also mean identical code
+// layouts, so the points share one layout per job.
 func ThreadScaling(ctx context.Context, mix workload.Mix, tech core.Technique, threadCounts []int, scale int64, seed uint64, parallel int) ([]ScalePoint, error) {
 	out := make([]ScalePoint, len(threadCounts))
+	var layouts synth.LayoutTable
 	err := sched.ForEach(ctx, parallel, len(threadCounts), func(i int) error {
 		th := threadCounts[i]
 		cfg := sim.DefaultConfig(tech, th).WithScale(scale)
@@ -220,7 +222,7 @@ func ThreadScaling(ctx context.Context, mix workload.Mix, tech core.Technique, t
 		if err != nil {
 			return err
 		}
-		s, err := sim.NewWorkload(cfg, profs)
+		s, err := sim.NewWorkloadShared(cfg, profs, &layouts)
 		if err != nil {
 			return err
 		}

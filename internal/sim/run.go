@@ -59,6 +59,11 @@ func (s *Simulator) Run() (*stats.Run, error) {
 // run returns within one timeslice with the counters accumulated so far and
 // the context's error. Cancellation never perturbs determinism — a run that
 // completes did exactly the same work it would have done under Run.
+//
+// The returned pointer aliases the simulator's own counters, not a copy:
+// it keeps the whole simulator (caches, engine, jobs) reachable, and a
+// later run on the same simulator overwrites it. A caller that keeps the
+// result beyond the simulator's use must copy the stats.Run.
 func (s *Simulator) RunContext(ctx context.Context) (*stats.Run, error) {
 	s.beginRun()
 	fast := !s.cfg.ReferenceLoop

@@ -148,14 +148,22 @@ func New(cfg Config, jobs []*Job) (*Simulator, error) {
 // NewWorkload builds jobs from benchmark profiles and a simulator over
 // them; each job's generator is independently seeded.
 func NewWorkload(cfg Config, profiles []synth.Profile) (*Simulator, error) {
+	return NewWorkloadShared(cfg, profiles, new(synth.LayoutTable))
+}
+
+// NewWorkloadShared is NewWorkload drawing each job's code layout from
+// layouts, so simulators over the same job streams share their layouts
+// instead of rebuilding them. The layout key is the profile after the
+// per-job seed mix, so sharing never changes a run.
+func NewWorkloadShared(cfg Config, profiles []synth.Profile, layouts *synth.LayoutTable) (*Simulator, error) {
 	jobs := make([]*Job, len(profiles))
 	for i, p := range profiles {
 		p.Seed ^= cfg.Seed * 0x9E3779B97F4A7C15
-		gen, err := synth.NewGenerator(p, cfg.Geom)
+		l, err := layouts.Layout(p, cfg.Geom)
 		if err != nil {
 			return nil, err
 		}
-		jobs[i] = NewJob(gen, cfg.ScaleDiv)
+		jobs[i] = NewJob(l.NewGenerator(), cfg.ScaleDiv)
 	}
 	return New(cfg, jobs)
 }

@@ -16,22 +16,19 @@ func SingleThreadConfig(perfectMemory bool, scaleDiv int64) Config {
 	return cfg
 }
 
-// RunSingle measures one benchmark on the single-thread machine; it runs
-// min(LimitInstrs, one full benchmark length) instructions.
-func RunSingle(prof synth.Profile, perfectMemory bool, scaleDiv int64) (*stats.Run, error) {
+// RunSingle measures one benchmark, given by its code layout, on the
+// single-thread machine; it runs min(LimitInstrs, one full benchmark
+// length) instructions.
+func RunSingle(l *synth.Layout, perfectMemory bool, scaleDiv int64) (*stats.Run, error) {
 	cfg := SingleThreadConfig(perfectMemory, scaleDiv)
-	gen, err := synth.NewGenerator(prof, cfg.Geom)
-	if err != nil {
-		return nil, err
-	}
-	job := NewJob(gen, cfg.ScaleDiv)
+	job := NewJob(l.NewGenerator(), cfg.ScaleDiv)
 	if job.remaining < cfg.LimitInstrs {
 		cfg.LimitInstrs = job.remaining
 		cfg.WarmupInstrs = cfg.LimitInstrs / 10
 	}
 	// Cover at least one full pass over the benchmark's code so compulsory
 	// ICache misses do not distort the scaled-down measurement.
-	if wrap := gen.CodeCycleInstrs() * 5 / 4; wrap > cfg.WarmupInstrs {
+	if wrap := l.CodeCycleInstrs() * 5 / 4; wrap > cfg.WarmupInstrs {
 		cfg.WarmupInstrs = wrap
 		if max := cfg.LimitInstrs / 2; cfg.WarmupInstrs > max {
 			cfg.WarmupInstrs = max
@@ -45,13 +42,18 @@ func RunSingle(prof synth.Profile, perfectMemory bool, scaleDiv int64) (*stats.R
 }
 
 // MeasuredIPC reports a benchmark's simulated IPCr and IPCp at the given
-// scale (the reproduction of one Figure 13(a) row).
+// scale (the reproduction of one Figure 13(a) row). Both runs share one
+// code layout: memory modelling does not change the geometry.
 func MeasuredIPC(prof synth.Profile, scaleDiv int64) (ipcr, ipcp float64, err error) {
-	real, err := RunSingle(prof, false, scaleDiv)
+	l, err := synth.NewLayout(prof, SingleThreadConfig(false, scaleDiv).Geom)
 	if err != nil {
 		return 0, 0, err
 	}
-	perfect, err := RunSingle(prof, true, scaleDiv)
+	real, err := RunSingle(l, false, scaleDiv)
+	if err != nil {
+		return 0, 0, err
+	}
+	perfect, err := RunSingle(l, true, scaleDiv)
 	if err != nil {
 		return 0, 0, err
 	}

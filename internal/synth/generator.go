@@ -100,7 +100,59 @@ type region struct {
 	meanIters int
 }
 
-// Generator implements Stream for a benchmark profile.
+// Layout is the immutable code layout of one profile on one geometry: its
+// loop regions and their instruction templates, derived purely from the
+// profile seed. A Layout is never written after NewLayout returns, so any
+// number of generators on any number of goroutines may share one; all
+// dynamic state lives in the Generator.
+type Layout struct {
+	prof    Profile
+	geom    isa.Geometry
+	regions []region
+}
+
+// NewLayout validates a profile against the geometry and builds its code
+// layout.
+func NewLayout(prof Profile, geom isa.Geometry) (*Layout, error) {
+	if err := geom.Validate(); err != nil {
+		return nil, err
+	}
+	if prof.MeanOps < 1 || prof.MeanOps > float64(geom.TotalIssueWidth()) {
+		return nil, fmt.Errorf("synth: %s: mean ops %.2f outside [1,%d]",
+			prof.Name, prof.MeanOps, geom.TotalIssueWidth())
+	}
+	if prof.LoopInstrs <= 0 || prof.LoopIters <= 0 {
+		return nil, fmt.Errorf("synth: %s: loop shape must be positive", prof.Name)
+	}
+	l := &Layout{prof: prof, geom: geom}
+	l.buildRegions()
+	return l, nil
+}
+
+// NewGenerator starts a fresh trace over the layout, primed as after
+// Reset(0). It allocates only the generator's dynamic state.
+func (l *Layout) NewGenerator() *Generator {
+	g := &Generator{prof: l.prof, geom: l.geom, regions: l.regions}
+	g.Reset(0)
+	return g
+}
+
+// CodeCycleInstrs estimates the instructions executed per full pass over
+// the benchmark's code footprint (every region, every iteration). Warmup
+// phases should cover at least one pass so compulsory ICache misses do not
+// bias short scaled-down measurements.
+func (l *Layout) CodeCycleInstrs() int64 {
+	var total int64
+	for _, reg := range l.regions {
+		total += int64(len(reg.body)) * int64(reg.meanIters)
+	}
+	return total
+}
+
+// Generator implements Stream for a benchmark profile. The profile,
+// geometry and region slice are copies of its Layout's (the regions alias
+// the shared, read-only templates), kept inline so the hot path reads them
+// without an extra indirection.
 type Generator struct {
 	prof    Profile
 	geom    isa.Geometry
@@ -114,22 +166,15 @@ type Generator struct {
 }
 
 // NewGenerator builds the (deterministic) code layout for a profile on the
-// given geometry and primes the dynamic state.
+// given geometry and primes the dynamic state: NewLayout followed by
+// Layout.NewGenerator. Callers that run the same profile more than once
+// should keep the Layout instead.
 func NewGenerator(prof Profile, geom isa.Geometry) (*Generator, error) {
-	if err := geom.Validate(); err != nil {
+	l, err := NewLayout(prof, geom)
+	if err != nil {
 		return nil, err
 	}
-	if prof.MeanOps < 1 || prof.MeanOps > float64(geom.TotalIssueWidth()) {
-		return nil, fmt.Errorf("synth: %s: mean ops %.2f outside [1,%d]",
-			prof.Name, prof.MeanOps, geom.TotalIssueWidth())
-	}
-	if prof.LoopInstrs <= 0 || prof.LoopIters <= 0 {
-		return nil, fmt.Errorf("synth: %s: loop shape must be positive", prof.Name)
-	}
-	g := &Generator{prof: prof, geom: geom}
-	g.buildRegions()
-	g.Reset(0)
-	return g, nil
+	return l.NewGenerator(), nil
 }
 
 // MustNewGenerator panics on error (known-good catalog profiles).
@@ -143,18 +188,6 @@ func MustNewGenerator(prof Profile, geom isa.Geometry) *Generator {
 
 // Name implements Stream.
 func (g *Generator) Name() string { return g.prof.Name }
-
-// CodeCycleInstrs estimates the instructions executed per full pass over
-// the benchmark's code footprint (every region, every iteration). Warmup
-// phases should cover at least one pass so compulsory ICache misses do not
-// bias short scaled-down measurements.
-func (g *Generator) CodeCycleInstrs() int64 {
-	var total int64
-	for _, reg := range g.regions {
-		total += int64(len(reg.body)) * int64(reg.meanIters)
-	}
-	return total
-}
 
 // Length implements Stream.
 func (g *Generator) Length(scaleDiv int64) int64 {
@@ -185,35 +218,35 @@ func (g *Generator) Reset(variant uint64) {
 
 // buildRegions lays out loop regions until the code footprint reaches
 // CodeKB. Layout is derived purely from the profile seed.
-func (g *Generator) buildRegions() {
-	layout := rng.New(g.prof.Seed ^ 0xc0de_5eed)
-	pc := uint64(codeBase) + (g.prof.Seed%64)*4096
-	targetBytes := uint64(g.prof.CodeKB) * 1024
+func (l *Layout) buildRegions() {
+	layout := rng.New(l.prof.Seed ^ 0xc0de_5eed)
+	pc := uint64(codeBase) + (l.prof.Seed%64)*4096
+	targetBytes := uint64(l.prof.CodeKB) * 1024
 	var total uint64
-	for total < targetBytes || len(g.regions) == 0 {
-		bodyLen := g.prof.LoopInstrs/2 + layout.Intn(g.prof.LoopInstrs+1)
+	for total < targetBytes || len(l.regions) == 0 {
+		bodyLen := l.prof.LoopInstrs/2 + layout.Intn(l.prof.LoopInstrs+1)
 		if bodyLen < 2 {
 			bodyLen = 2
 		}
 		vecLen := 0
-		if g.prof.BurstProb > 0 {
+		if l.prof.BurstProb > 0 {
 			// SLAP-style variable vector length: each region is one
 			// strip-mined vector loop with its own VL, a multiple of the
 			// per-cluster issue width up to the full machine width. The
 			// draw is guarded so BurstProb==0 profiles consume an
 			// unchanged layout-RNG stream.
-			w := g.geom.IssueWidth
-			vecLen = w * (1 + layout.Intn(g.geom.Clusters))
+			w := l.geom.IssueWidth
+			vecLen = w * (1 + layout.Intn(l.geom.Clusters))
 		}
-		reg := region{meanIters: g.prof.LoopIters}
+		reg := region{body: make([]template, 0, bodyLen), meanIters: l.prof.LoopIters}
 		for i := 0; i < bodyLen; i++ {
 			last := i == bodyLen-1
-			t := g.buildTemplate(layout, pc, last, bodyLen-1-i, vecLen)
+			t := l.buildTemplate(layout, pc, last, bodyLen-1-i, vecLen)
 			reg.body = append(reg.body, t)
 			pc += uint64(t.size)
 			total += uint64(t.size)
 		}
-		g.regions = append(g.regions, reg)
+		l.regions = append(l.regions, reg)
 	}
 }
 
@@ -221,10 +254,10 @@ func (g *Generator) buildRegions() {
 // non-zero vecLen marks the enclosing region as a vector loop: templates
 // then become wide-op bursts with probability BurstProb, occupying vecLen
 // issue slots spread evenly across clusters (SIMD lane groups).
-func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room int, vecLen int) template {
-	w := g.geom.IssueWidth
-	maxOps := g.geom.TotalIssueWidth()
-	burst := vecLen > 0 && r.Bool(g.prof.BurstProb)
+func (l *Layout) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room int, vecLen int) template {
+	w := l.geom.IssueWidth
+	maxOps := l.geom.TotalIssueWidth()
+	burst := vecLen > 0 && r.Bool(l.prof.BurstProb)
 	var ops int
 	if burst {
 		ops = vecLen
@@ -232,7 +265,7 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 		// ops ~ 1 + Binomial(maxOps-1, p) with mean MeanOps, compensated for
 		// the ~2*CommProb ops the send/recv pairs add on average so the
 		// measured ops/instruction lands on MeanOps.
-		target := g.prof.MeanOps - 2*g.prof.CommProb
+		target := l.prof.MeanOps - 2*l.prof.CommProb
 		if target < 1 {
 			target = 1
 		}
@@ -258,45 +291,45 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 	// vectorizing compiler emits.
 	k := (ops + w - 1) / w
 	if burst {
-		if k > g.geom.Clusters {
-			k = g.geom.Clusters
+		if k > l.geom.Clusters {
+			k = l.geom.Clusters
 		}
 	} else if !r.Bool(0.5) { // spread mode
-		spread := g.prof.SpreadProb
+		spread := l.prof.SpreadProb
 		if spread == 0 {
 			spread = 0.85
 		}
-		for k < g.geom.Clusters && k < ops && r.Bool(spread) {
+		for k < l.geom.Clusters && k < ops && r.Bool(spread) {
 			k++
 		}
 	}
 	start := 0
 	if r.Bool(0.5) {
-		start = r.Intn(g.geom.Clusters)
+		start = r.Intn(l.geom.Clusters)
 	}
 	var perCluster [isa.MaxClusters]int
 	for i := 0; i < ops; i++ {
-		perCluster[(start+i%k)%g.geom.Clusters]++
+		perCluster[(start+i%k)%l.geom.Clusters]++
 	}
 
 	var d isa.InstrDemand
-	memBudget := int(float64(ops)*g.prof.MemFrac + 0.5)
-	mulBudget := int(float64(ops)*g.prof.MulFrac + 0.5)
+	memBudget := int(float64(ops)*l.prof.MemFrac + 0.5)
+	mulBudget := int(float64(ops)*l.prof.MulFrac + 0.5)
 	for j := 0; j < k; j++ {
-		c := (start + j) % g.geom.Clusters
+		c := (start + j) % l.geom.Clusters
 		n := perCluster[c]
 		b := isa.BundleDemand{Ops: uint8(n)}
-		if memBudget > 0 && g.geom.MemUnits > 0 && n > 0 {
+		if memBudget > 0 && l.geom.MemUnits > 0 && n > 0 {
 			b.Mem = 1
 			memBudget--
 			n--
-			if r.Bool(g.prof.StoreFrac) {
+			if r.Bool(l.prof.StoreFrac) {
 				b.Stor = true
 			} else {
 				b.Load = true
 			}
 		}
-		for n > 0 && mulBudget > 0 && int(b.Mul) < g.geom.Muls {
+		for n > 0 && mulBudget > 0 && int(b.Mul) < l.geom.Muls {
 			b.Mul++
 			mulBudget--
 			n--
@@ -306,11 +339,11 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 	}
 
 	// Inter-cluster copy pair: one extra ALU-class op on two clusters.
-	if g.geom.Clusters > 1 && r.Bool(g.prof.CommProb) {
-		src := r.Intn(g.geom.Clusters)
-		dst := (src + 1 + r.Intn(g.geom.Clusters-1)) % g.geom.Clusters
+	if l.geom.Clusters > 1 && r.Bool(l.prof.CommProb) {
+		src := r.Intn(l.geom.Clusters)
+		dst := (src + 1 + r.Intn(l.geom.Clusters-1)) % l.geom.Clusters
 		for _, c := range []int{src, dst} {
-			if int(d.B[c].Ops) < w && int(d.B[c].ALU) < g.geom.ALUs {
+			if int(d.B[c].Ops) < w && int(d.B[c].ALU) < l.geom.ALUs {
 				d.B[c].Ops++
 				d.B[c].ALU++
 			}
@@ -329,7 +362,7 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 	switch {
 	case backEdge:
 		t.brKind = brBackEdge
-	case room > 0 && r.Bool(g.prof.BranchProb):
+	case room > 0 && r.Bool(l.prof.BranchProb):
 		t.brKind = brInner
 		skip := 1 + r.Intn(3)
 		if skip > room {
